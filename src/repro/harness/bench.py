@@ -226,8 +226,8 @@ def bench_scale(
     For each rank count: run ADAPT bcast/allreduce through the full harness
     (``for_ranks`` grows the preset's node count at its native ranks-per-node
     density) and report engine events/sec over the wall clock, plus max-min
-    allocation rounds/sec on a component sized to that world (the regime the
-    vectorized variant targets once past ``_VEC_THRESHOLD`` flows).
+    allocation rounds/sec on a component sized to that world (past
+    ``_HEAP_THRESHOLD`` flows, so it measures the heap variant).
 
     Single-shot walls, not best-of-N: a 16K-rank bcast is tens of seconds,
     so repeating it would dominate the whole suite for ±10% noise that the

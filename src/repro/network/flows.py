@@ -30,9 +30,6 @@ class Flow:
         "start_time",
         "finish_time",
         "taginfo",
-        "slot",
-        "link_idx",
-        "state",
     )
 
     def __init__(
@@ -60,12 +57,6 @@ class Flow:
         self.start_time = 0.0
         self.finish_time: Optional[float] = None
         self.taginfo = taginfo
-        # Array-mirror bookkeeping (DESIGN.md §23): the owning network's
-        # FlowArrayState slot, the cached link-index array of ``path``, and
-        # the mirror itself (None for standalone flows built by tests).
-        self.slot = -1
-        self.link_idx = None
-        self.state = None
 
     @property
     def done(self) -> bool:
@@ -74,10 +65,9 @@ class Flow:
     def drain(self, now: float) -> None:
         """Account bytes moved since ``last_update`` at the current rate.
 
-        Deliberately does *not* write the array mirror's residual column:
-        a numpy scalar store per drain costs more than every vectorized
-        consumer saves (DESIGN.md §23); consumers that need current
-        residuals call ``FlowArrayState.refresh_remaining`` once per batch.
+        The allocator calls this lazily (DESIGN.md §23): a flow whose rate
+        is unchanged by a rebalance is drained at its next reschedule or
+        finish, not at every rebalance it is dragged into.
         """
         dt = now - self.last_update
         if dt > 0.0 and self.rate > 0.0:

@@ -26,8 +26,8 @@ class Link:
         self.capacity = capacity
         self.flows: set["Flow"] = set()
         self.bytes_carried = 0.0  # lifetime accounting, for utilization reports
-        # Dense id in the owning network's array mirror / component index
-        # (DESIGN.md §23); assigned on first sight, None for standalone links.
+        # Dense id in the owning network's component index (DESIGN.md §23);
+        # assigned on first activation, None until a flow crosses the link.
         self.index: int | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

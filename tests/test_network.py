@@ -4,7 +4,8 @@ import pytest
 
 from repro.machine import CommLevel, Topology, small_test_machine, psg_gpu
 from repro.network import Fabric, FairShareNetwork, Flow, Link, MemSpace
-from repro.network.fairshare import maxmin_rates
+from repro.network import fairshare
+from repro.network.fairshare import maxmin_rates, maxmin_rates_reference
 from repro.sim import Engine
 
 
@@ -138,6 +139,62 @@ class TestFairShareNetwork:
         assert net.flows_completed == 50
         # Total work conservation: 50 * 10 kB at 1 GB/s = 500 us.
         assert eng.now == pytest.approx(500e-6, rel=1e-6)
+
+    def test_refresh_after_capacity_change_under_shape_cache(self, monkeypatch):
+        """Link capacity is part of the shape-cache key, so ``refresh`` after
+        a degrade solves afresh and after the restore replays the original
+        rates; completions follow the rate history."""
+        solves = []
+        solve = fairshare.maxmin_rates
+
+        def counting(flows, links):
+            solves.append(len(flows))
+            return solve(flows, links)
+
+        monkeypatch.setattr(fairshare, "maxmin_rates", counting)
+        eng = Engine()
+        net = FairShareNetwork(eng)
+        link = Link("l", 1e9)
+        done = {}
+        a = net.submit([link], 1_000_000, 1e15, 0.0,
+                       lambda f: done.setdefault("a", eng.now))
+        b = net.submit([link], 1_000_000, 3e8, 0.0,
+                       lambda f: done.setdefault("b", eng.now))
+        assert solves == [2]
+        original = {a: a.rate, b: b.rate}
+        assert original == maxmin_rates_reference([a, b], [link])
+        assert original == {a: 7e8, b: 3e8}
+        net.refresh([link])  # same shape again: a shape-cache hit
+        assert solves == [2]
+        assert {a: a.rate, b: b.rate} == original
+
+        seen = {}
+
+        def degrade():
+            link.capacity = 4e8
+            net.refresh([link])
+            seen["degraded"] = {a: a.rate, b: b.rate}
+            seen["degraded_ref"] = maxmin_rates_reference([a, b], [link])
+            seen["solves_degraded"] = list(solves)
+
+        def restore():
+            link.capacity = 1e9
+            net.refresh([link])
+            seen["restored"] = {a: a.rate, b: b.rate}
+            seen["solves_restored"] = list(solves)
+
+        eng.call_at(5e-4, degrade)
+        eng.call_at(1e-3, restore)
+        eng.run()
+        assert seen["solves_degraded"] == [2, 2]  # new capacity: a miss
+        assert seen["degraded"] == seen["degraded_ref"]
+        assert seen["degraded"] == {a: 2e8, b: 2e8}
+        assert seen["solves_restored"] == [2, 2]  # original key: a hit
+        assert seen["restored"] == original
+        # a: 3.5e5 B by 0.5 ms, 4.5e5 B by 1 ms, then 5.5e5 B at 0.7 GB/s.
+        # b: 1.5e5 + 1e5 B by 1 ms, then 7.5e5 B at its 0.3 GB/s cap.
+        assert done["a"] == pytest.approx(1e-3 + 5.5e5 / 7e8, rel=1e-9)
+        assert done["b"] == pytest.approx(3.5e-3, rel=1e-9)
 
 
 class TestFabricRouting:
