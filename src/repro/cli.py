@@ -69,16 +69,19 @@ def _add_parallel(p: argparse.ArgumentParser) -> None:
                    "($REPRO_CACHE_DIR or .repro-cache/)")
 
 
-def _parallel_kwargs(args) -> dict:
+def _result_cache(args):
+    """The sweep result cache, or None when ``--no-cache`` or a
+    ``$REPRO_NO_CACHE`` other than empty/"0" turns it off."""
     from repro.parallel import ResultCache
 
     no_cache = getattr(args, "no_cache", False) or (
         os.environ.get("REPRO_NO_CACHE", "") not in ("", "0")
     )
-    return {
-        "n_jobs": getattr(args, "jobs", None),
-        "cache": None if no_cache else ResultCache(),
-    }
+    return None if no_cache else ResultCache()
+
+
+def _parallel_kwargs(args) -> dict:
+    return {"n_jobs": getattr(args, "jobs", None), "cache": _result_cache(args)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1066,7 +1069,6 @@ def _cmd_verify(args) -> int:
     import time as _time
 
     from repro.collectives.models import ADAPT_VERIFY, VERIFY_MODELS
-    from repro.parallel import ResultCache
     from repro.verify import (
         VerifyKey,
         build_model,
@@ -1088,10 +1090,7 @@ def _cmd_verify(args) -> int:
         schedules = sorted(VERIFY_MODELS)
     else:
         schedules = list(ADAPT_VERIFY)
-    no_cache = args.no_cache or (
-        os.environ.get("REPRO_NO_CACHE", "") not in ("", "0")
-    )
-    cache = None if no_cache else ResultCache()
+    cache = _result_cache(args)
     mode = "naive" if args.naive else "auto"
     report: dict = {"config": {
         "ranks": args.ranks, "tree": args.tree, "nbytes": args.nbytes,

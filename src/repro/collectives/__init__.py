@@ -17,6 +17,9 @@ Plus the classic algorithms the comparison libraries use
 (:mod:`repro.collectives.classic`), the Section 3.1 multi-communicator
 hierarchical composition (:mod:`repro.collectives.hierarchical`), and an
 Open MPI ``tuned``-style decision function (:mod:`repro.collectives.tuned`).
+
+Fault-aware ADAPT rank state machines share one repair surface,
+:class:`repro.collectives.base.FaultAwareRank` (DESIGN.md S17).
 """
 
 from repro.collectives.base import CollectiveHandle, CollectiveContext

@@ -272,6 +272,13 @@ class CollectiveContext:
             on_fail, cpu=self.rt(local).cpu, alive_fn=on_alive
         )
 
+    def failed_locals(self) -> set[int]:
+        """Local ranks the world's failure detector has declared failed."""
+        detector = self.world.failure_detector
+        if detector is None:
+            return set()
+        return self.comm.locals_of(detector.failed)
+
     # -- reduction helpers ----------------------------------------------------------
 
     def combine(self, acc: Any, operand: Any) -> Any:
@@ -295,6 +302,50 @@ class CollectiveContext:
         has no runtime effect.
         """
         self.rt(local).reduce_local(nbytes, fn, *args, on_gpu=self.reduce_on_gpu, tag=tag)
+
+
+class FaultAwareRank:
+    """Base of the per-rank state machines of the exact ADAPT collectives.
+
+    Owns the failure-event surface (DESIGN.md S17): :meth:`on_failure`
+    records a declared death once (report, excusal) and hands the rank to
+    the subclass's :meth:`_repair`; :meth:`on_alive` records a retraction
+    of a death this rank already routed around. The repair is tolerated,
+    never undone — a retracted rank stays routed around. Launchers
+    subscribe both methods via :meth:`CollectiveContext.subscribe_failures`.
+    """
+
+    def __init__(self, ctx: CollectiveContext, handle: CollectiveHandle, local: int):
+        self.ctx = ctx
+        self.handle = handle
+        self.local = local
+        self._handled_failures: set[int] = set()
+
+    def on_failure(self, dead: int) -> None:
+        """A comm-member rank was declared failed (runs on this rank's CPU)."""
+        if dead == self.local or dead in self._handled_failures:
+            return
+        self._handled_failures.add(dead)
+        report = self.handle.report
+        report.degraded = True
+        report.failed_ranks.add(dead)
+        self.handle.excuse(dead)
+        self._repair(dead)
+
+    def on_alive(self, back: int) -> None:
+        """A failed-then-retracted rank: record it, keep the repair.
+
+        A heal that beats the detection deadline never reaches on_failure,
+        so the original schedule resumes untouched. Idempotent —
+        alive-after-failed and alive-without-failed both land here safely.
+        """
+        if back == self.local or back not in self._handled_failures:
+            return
+        self.handle.report.retractions.add(back)
+
+    def _repair(self, dead: int) -> None:
+        """Route this rank's schedule around the newly dead rank ``dead``."""
+        raise NotImplementedError
 
 
 def new_handle(ctx: CollectiveContext, name: str) -> CollectiveHandle:

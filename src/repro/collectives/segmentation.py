@@ -27,6 +27,18 @@ def segment_offsets(sizes: Sequence[int]) -> list[int]:
     return offs
 
 
+def block_ranges(nbytes: int, nparts: int) -> list[tuple[int, int]]:
+    """``(offset, length)`` of each of ``nparts`` near-equal blocks of a
+    ``nbytes`` buffer; the first ``nbytes % nparts`` blocks are one longer."""
+    base, rem = divmod(nbytes, nparts)
+    out, off = [], 0
+    for i in range(nparts):
+        ln = base + (1 if i < rem else 0)
+        out.append((off, ln))
+        off += ln
+    return out
+
+
 def slice_payload(data: Optional[np.ndarray], sizes: Sequence[int]) -> list[Any]:
     """Split a payload array into per-segment views (None stays None)."""
     if data is None:

@@ -9,7 +9,7 @@ MVAPICH-style implementations do.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.machine.spec import CommLevel
 from repro.mpi.runtime import MpiWorld, RankRuntime
@@ -36,6 +36,10 @@ class Communicator:
 
     def local_rank(self, world_rank: int) -> int:
         return self._local_of[world_rank]
+
+    def locals_of(self, world_ranks: Iterable[int]) -> set[int]:
+        """Local ranks of the members among ``world_ranks`` (others skipped)."""
+        return {self._local_of[w] for w in world_ranks if w in self._local_of}
 
     def __contains__(self, world_rank: int) -> bool:
         return world_rank in self._local_of

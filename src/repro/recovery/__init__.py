@@ -105,12 +105,9 @@ def launch_recover(name: str, ctx: CollectiveContext) -> CollectiveHandle:
 def _launch_inplace(name: str, ctx: CollectiveContext) -> CollectiveHandle:
     ms = ensure_membership(ctx.world)
     handle = _INPLACE_ALGOS[name](ctx)
-    comm = ctx.comm
 
     def on_view(view: SurvivorView) -> None:
-        failed_locals = {
-            comm.local_rank(w) for w in view.failed if w in comm
-        }
+        failed_locals = ctx.comm.locals_of(view.failed)
         rep = handle.report
         if failed_locals:
             rep.degraded = True

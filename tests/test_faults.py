@@ -19,6 +19,7 @@ import pytest
 from repro.collectives import (
     allgather_adapt,
     allreduce_adapt,
+    alltoall_adapt,
     barrier_adapt,
     bcast_adapt,
     bcast_blocking,
@@ -430,6 +431,54 @@ class TestFailStop:
         # never completed: the blocking/Waitall schedule has no recovery.
         assert not handle.done
         assert len(handle.done_time) < world.nranks
+
+    @pytest.mark.parametrize(
+        "name", ["bcast", "reduce", "scatter", "barrier", "alltoall"]
+    )
+    def test_direct_launch_records_retraction(self, name):
+        # A false kill on a directly launched collective (no launch_recover):
+        # the detector confirms an interior rank dead mid-flight, survivors
+        # repair around it, then its liveness evidence retracts the verdict.
+        # Every per-rank state machine reports the death once and records
+        # the retraction without undoing the repair.
+        def launch(world):
+            comm = Communicator(world)
+            n = comm.size
+            tree = topology_aware_tree(world.topology, list(comm.ranks), 0)
+            rng = np.random.default_rng(3)
+            if name in ("bcast", "reduce"):
+                launcher = launch_bcast if name == "bcast" else launch_reduce
+                handle, _, tree = launcher(world)
+                return handle, tree
+            if name == "scatter":
+                data = rng.integers(0, 256, NBYTES, dtype=np.uint8)
+                ctx = CollectiveContext(comm, 0, NBYTES, SMALL_CONFIG, tree=tree, data=data)
+                return scatter_adapt(ctx), tree
+            if name == "barrier":
+                ctx = CollectiveContext(comm, 0, 0, SMALL_CONFIG, tree=tree)
+                return barrier_adapt(ctx), tree
+            data = {r: rng.integers(0, 256, NBYTES, dtype=np.uint8) for r in range(n)}
+            ctx = CollectiveContext(comm, 0, NBYTES, SMALL_CONFIG, tree=tree, data=data)
+            return alltoall_adapt(ctx), tree
+
+        world = make_world()
+        clean, _ = launch(world)
+        world.run()
+        baseline = clean.elapsed()
+
+        world = make_world()
+        handle, tree = launch(world)
+        victim = _interior_victim(tree)
+        det = FailureDetector(world, detect_delay=0.1 * baseline)
+        world.engine.call_after(0.1 * baseline, det.suspect, victim)
+        world.engine.call_after(2 * baseline, det.observe_alive, victim)
+        world.run()
+        assert handle.done, f"{name}: survivors never completed"
+        assert det.false_kills == 1
+        assert handle.report.degraded
+        assert handle.report.failed_ranks == {victim}
+        assert handle.excused == {victim}
+        assert handle.report.retractions == {victim}
 
     def test_no_leaked_requests_after_crash(self):
         # sanitize=True would raise at drain if the crash leaked any live

@@ -29,6 +29,7 @@ from repro.mpi import SUM, Communicator, MpiWorld
 from repro.recovery import launch_recover
 from repro.trees import binary_tree, chain_tree, topology_aware_tree
 from repro.trees.regraft import (
+    live_descendants,
     live_ring,
     nearest_live_ancestor,
     regraft_tree,
@@ -80,6 +81,10 @@ class TestRegraft:
         assert 3 in rg.survivor.children[0]
         assert rg.survivor.parent[1] is None and rg.survivor.children[1] == []
         rg.check({1, 2})
+        # The adoption rule: the adopter's live orphans, found through the
+        # whole dead chain below it.
+        assert live_descendants(t, 0, {1, 2}) == [3]
+        assert live_descendants(t, 1, {1, 2}) == [3]
 
     def test_binary_tree_orphans_sorted_onto_adopter(self):
         t = binary_tree(7)  # 0 -> 1,2; 1 -> 3,4; 2 -> 5,6
@@ -87,6 +92,9 @@ class TestRegraft:
         assert rg.adoptions == {3: 0, 4: 0}
         assert rg.survivor.children[0] == [2, 3, 4]
         rg.check({1})
+        # The stack walk pops 4 before 3; the output is sorted anyway.
+        assert live_descendants(t, 1, {1}) == [3, 4]
+        assert live_descendants(t, 0, {1}) == [2, 3, 4]
 
     def test_root_dead_strands_survivors(self):
         t = binary_tree(7)
