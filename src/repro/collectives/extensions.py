@@ -440,7 +440,10 @@ class _AdaptBarrierRank(FaultAwareRank):
                     # accepts. The recv absorbs the resend either way.
                     self._post_up_recv(orphan)
                 else:
-                    # Already released: the orphan only needs its exit.
+                    # Already released: the orphan only needs its exit, but
+                    # it always replays its up-notification to its adopter,
+                    # so the recv absorbing that replay is posted here too.
+                    self._post_up_recv(orphan)
                     self.ctx.isend(
                         self.local, orphan, self.base_tag + self.P + orphan, 0
                     )
@@ -462,8 +465,9 @@ class _AdaptBarrierRank(FaultAwareRank):
             )
             self._check_up()
             return
-        if not self.released:
-            self._post_release_recv(ancestor)
+        # Posted even after release: the adopter always sends this rank its
+        # exit, and an unmatched exit would be left in the matcher.
+        self._post_release_recv(ancestor)
         if self.sent_up:
             # The up-notification went into a corpse; replay it to the
             # adopter (which posted a matching recv at adoption time).

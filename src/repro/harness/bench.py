@@ -47,7 +47,8 @@ _SIZES = {
 }
 
 #: The allocator scenario: enough flows with distinct caps that every call
-#: runs hundreds of fill rounds — the regime the heap variant targets.
+#: runs hundreds of fill rounds. Past ``_HEAP_THRESHOLD`` flows it runs the
+#: class solver with every class a single flow: its no-sharing worst case.
 ALLOC_FLOWS = 512
 ALLOC_LINKS = 32
 
@@ -227,7 +228,8 @@ def bench_scale(
     (``for_ranks`` grows the preset's node count at its native ranks-per-node
     density) and report engine events/sec over the wall clock, plus max-min
     allocation rounds/sec on a component sized to that world (past
-    ``_HEAP_THRESHOLD`` flows, so it measures the heap variant).
+    ``_HEAP_THRESHOLD`` flows, so it measures the class solver, with one
+    flow per class).
 
     Single-shot walls, not best-of-N: a 16K-rank bcast is tens of seconds,
     so repeating it would dominate the whole suite for ±10% noise that the

@@ -9,13 +9,21 @@ Rates only change when the set of active flows changes, and only within the
 connected component of links/flows reachable from the changed flow's path;
 disjoint components provably do not affect each other's max-min allocation,
 so recomputation is local and large simulations stay fast.
+
+Two solvers share the work. Components below ``_HEAP_THRESHOLD`` flows run
+a flat per-round scan and are memoised by shape. Larger components run over
+*flow classes* — all flows with one ``(path, rate_cap)`` — because flows of
+a class always receive the same rate; a contended component of ~150 flows
+has fewer than ten classes, and the component index keeps each component's
+class table as flows come and go (DESIGN.md §23). Both return rates
+bit-identical to :func:`maxmin_rates_reference`.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Mapping, Optional, Sequence, cast
 
 from repro.network.flows import Flow
 from repro.network.links import Link
@@ -28,11 +36,17 @@ _EPSILON_BYTES = 1e-6
 _BY_FID = attrgetter("fid")
 _BY_NAME = attrgetter("name")
 _BY_CAP_FID = attrgetter("rate_cap", "fid")
+_BY_CLASS_CAP = itemgetter(1)
+
+#: A flow class: every flow with this exact path and rate cap. Max-min
+#: progressive filling always gives the flows of one class the same rate.
+FlowClass = tuple[tuple[Link, ...], float]
 
 
-# Components below this flow count use the flat-scan variant: the heap's
-# setup cost (heapify, stamps, touched-set upkeep) only pays off once the
-# per-round O(links + flows) rescan it replaces is large enough.
+# Components below this flow count use the flat-scan variant: the class
+# solver's setup cost (grouping, heapify, stamps, touched-set upkeep) only
+# pays off once the per-round O(links + flows) rescan it replaces is large
+# enough.
 _HEAP_THRESHOLD = 96
 
 
@@ -42,25 +56,35 @@ def maxmin_rates(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
     Pure function (does not mutate flows/links); exposed separately so the
     property-based tests can check the allocation invariants directly.
 
-    Incremental progressive filling: instead of rescanning every link and
-    every unfixed flow on each fill round (the reference implementation
-    below, O(rounds x (links + flows))), the bottleneck link comes from a
-    lazily-invalidated heap of per-link shares — only links whose remaining
-    capacity or unfixed count changed get a fresh entry — and the smallest
-    unfixed cap comes from a list pre-sorted by (rate_cap, fid) walked by a
-    monotone pointer, so ``cap_flow`` costs amortised O(1) instead of an
-    O(flows) ``min()`` scan per round (and is never computed eagerly when
-    the bottleneck branch wins). Components below ``_HEAP_THRESHOLD``
-    flows (the common case on topology-aware trees) dispatch to a flat-scan
-    variant that keeps the lazy-cap optimization but skips the heap. Fix
-    order and float arithmetic match :func:`maxmin_rates_reference`
-    exactly: ties between equal shares resolve to the earliest link in
-    ``links`` order, and flows fix in fid order within a round, so both
-    variants return bit-identical rates.
+    ``flows`` must be distinct. Components below ``_HEAP_THRESHOLD`` flows
+    (the common case on topology-aware trees) run :func:`_maxmin_scan`:
+    per-round link rescans, with the smallest unfixed cap found by a
+    monotone pointer over a list pre-sorted by (rate_cap, fid) instead of an
+    O(flows) ``min()`` per round. Larger components are grouped into
+    ``(path, rate_cap)`` classes and solved by :func:`_maxmin_classes`,
+    which takes the bottleneck link from a lazily-invalidated heap of
+    per-link shares — only links whose remaining capacity or unfixed count
+    changed get a fresh entry — and fixes a whole class per step. Fix order
+    and float arithmetic match :func:`maxmin_rates_reference` exactly: ties
+    between equal shares resolve to the earliest link in ``links`` order,
+    and every link sees the reference's subtractions in the reference's
+    order, so both paths return bit-identical rates.
     """
     if len(flows) < _HEAP_THRESHOLD:
         return _maxmin_scan(flows, links)
-    return _maxmin_heap(flows, links)
+    return _maxmin_grouped(flows, links)
+
+
+def _maxmin_grouped(
+    flows: Sequence[Flow], links: Sequence[Link]
+) -> dict[Flow, float]:
+    """Group ``flows`` into classes, solve them, and map rates back."""
+    classes: dict[FlowClass, int] = {}
+    for f in flows:
+        key = (f.path, f.rate_cap)
+        classes[key] = classes.get(key, 0) + 1
+    rates = _maxmin_classes(classes, links, flows)
+    return {f: rates[(f.path, f.rate_cap)] for f in flows}
 
 
 def _maxmin_scan(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, float]:
@@ -135,27 +159,54 @@ def _maxmin_scan(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
     return rates
 
 
-def _maxmin_heap(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, float]:
-    """Progressive filling with a lazily-invalidated heap of link shares."""
+def _maxmin_classes(
+    classes: Mapping[FlowClass, int],
+    links: Sequence[Link],
+    flows: Sequence[Flow],
+) -> dict[FlowClass, float]:
+    """Progressive filling over flow classes with a lazily-invalidated heap.
+
+    ``classes`` maps each ``(path, rate_cap)`` class to its live flow
+    count; ``flows`` is the same flow set, read only by a cap round whose
+    batch mixes several caps. Flows of one class always fix in the same
+    round at the same rate (a bottleneck round takes every unfixed flow
+    crossing the link, a cap round every unfixed flow at or below the
+    threshold), so the fill runs over classes. Per link the reference
+    subtracts that one rate once per flow occurrence, clamping at 0; the
+    ``m``-fold loop below performs those very IEEE-754 operations, which is
+    why a single ``remaining - m * rate`` would not do. A link whose count
+    drops to 0 is never read again, so its subtraction is skipped. Returns
+    the rate of every class.
+    """
     nlinks = len(links)
     link_index: dict[Link, int] = {}
     for i, link in enumerate(links):
         link_index[link] = i
     remaining = [link.capacity for link in links]
     count = [0] * nlinks
-    flows_on: list[list[Flow]] = [[] for _ in range(nlinks)]
-    for f in flows:
-        for link in f.path:
+    classes_on: list[list[int]] = [[] for _ in range(nlinks)]
+    # Sorted by cap: the smallest unfixed cap is a monotone pointer walk.
+    keys = sorted(classes, key=_BY_CLASS_CAP)
+    mult = [classes[key] for key in keys]
+    ncls = len(keys)
+    class_links: list[list[int]] = []
+    for c, (path, _) in enumerate(keys):
+        m = mult[c]
+        idxs = []
+        for link in path:
             i = link_index.get(link)
             if i is not None:
-                count[i] += 1
-                flows_on[i].append(f)
+                idxs.append(i)
+                count[i] += m
+                classes_on[i].append(c)
+        class_links.append(idxs)
 
-    rates: dict[Flow, float] = {}
-    by_cap = sorted(set(flows), key=_BY_CAP_FID)
-    n_unfixed = len(by_cap)
-    nflows = n_unfixed
+    rate: list[Optional[float]] = [None] * ncls
+    n_unfixed = ncls
     cap_ptr = 0
+    by_cap: Optional[list[Flow]] = None
+    flow_ptr = 0
+    bottlenecks: set[Link] = set()
 
     # (share, link index, stamp) entries; an entry is stale when its stamp
     # no longer matches the link's. Index breaks share ties exactly like the
@@ -168,16 +219,23 @@ def _maxmin_heap(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
     heappush, heappop = heapq.heappush, heapq.heappop
     touched: set[int] = set()
 
-    def _fix(flow: Flow, rate: float) -> None:
+    def _fix(c: int, r: float) -> None:
         nonlocal n_unfixed
-        rates[flow] = rate
+        rate[c] = r
         n_unfixed -= 1
-        for link in flow.path:
-            i = link_index.get(link)
-            if i is not None:
-                r = remaining[i] - rate
-                remaining[i] = r if r > 0.0 else 0.0
-                count[i] -= 1
+        m = mult[c]
+        for i in class_links[c]:
+            n = count[i] - m
+            count[i] = n
+            if n > 0:
+                rem = remaining[i]
+                for _ in range(m):
+                    rem -= r
+                    if not rem > 0.0:
+                        # Rates are never negative: the link stays at 0.
+                        rem = 0.0
+                        break
+                remaining[i] = rem
                 touched.add(i)
 
     while n_unfixed > 0:
@@ -192,43 +250,74 @@ def _maxmin_heap(flows: Sequence[Flow], links: Sequence[Link]) -> dict[Flow, flo
             bottleneck_share = share
             bottleneck_idx = i
             break
-        # Lazy cap_flow: advance the monotone pointer past fixed flows.
-        while cap_ptr < nflows and by_cap[cap_ptr] in rates:
+        # Lazy cap lookup: advance the monotone pointer past fixed classes.
+        while rate[cap_ptr] is not None:
             cap_ptr += 1
 
         if bottleneck_share is None:
-            # No shared constrained link (e.g. synthetic test flows): caps rule.
-            for f in by_cap[cap_ptr:]:
-                if f not in rates:
-                    _fix(f, f.rate_cap)
-        elif by_cap[cap_ptr].rate_cap <= bottleneck_share:
+            # No shared constrained link (e.g. synthetic test flows): caps
+            # rule, and no unfixed class crosses a link left to update.
+            for c in range(cap_ptr, ncls):
+                if rate[c] is None:
+                    rate[c] = keys[c][1]
+            n_unfixed = 0
+        elif keys[cap_ptr][1] <= bottleneck_share:
             # Cap-limited flows fix first (standard capped progressive fill).
             threshold = bottleneck_share
             batch = []
-            j = cap_ptr
-            while j < len(by_cap):
-                f = by_cap[j]
-                if f not in rates:
-                    if f.rate_cap > threshold:
+            for c in range(cap_ptr, ncls):
+                if rate[c] is None:
+                    if keys[c][1] > threshold:
                         break
-                    batch.append(f)
-                j += 1
-            batch.sort(key=_BY_FID)
-            for f in batch:
-                _fix(f, f.rate_cap)
+                    batch.append(c)
+            if keys[batch[0]][1] == keys[batch[-1]][1]:
+                for c in batch:
+                    _fix(c, keys[c][1])
+            else:
+                # Mixed caps: per link the subtraction order matters, so
+                # replay the reference's per-flow fid order. The batch's
+                # flows are those with a cap from the batch's lowest to
+                # the threshold that cross no past bottleneck link (every
+                # flow crossing one was fixed in that round); a monotone
+                # pointer over flows sorted by cap visits each flow once.
+                if by_cap is None:
+                    by_cap = sorted(flows, key=_BY_CAP_FID)
+                lowest = keys[batch[0]][1]
+                for c in batch:
+                    rate[c] = keys[c][1]
+                n_unfixed -= len(batch)
+                replay = []
+                while flow_ptr < len(by_cap):
+                    f = by_cap[flow_ptr]
+                    cap = f.rate_cap
+                    if cap > threshold:
+                        break
+                    flow_ptr += 1
+                    if cap >= lowest and bottlenecks.isdisjoint(f.path):
+                        replay.append(f)
+                replay.sort(key=_BY_FID)
+                for f in replay:
+                    cap = f.rate_cap
+                    for link in f.path:
+                        i = link_index.get(link)
+                        if i is not None:
+                            r = remaining[i] - cap
+                            remaining[i] = r if r > 0.0 else 0.0
+                            count[i] -= 1
+                            touched.add(i)
         else:
-            batch = sorted(
-                {f for f in flows_on[bottleneck_idx] if f not in rates},
-                key=_BY_FID,
-            )
-            for f in batch:
-                _fix(f, bottleneck_share)
+            # Every unfixed flow on the bottleneck gets the same share, so
+            # the per-link subtraction order is immaterial.
+            bottlenecks.add(links[bottleneck_idx])
+            for c in classes_on[bottleneck_idx]:
+                if rate[c] is None:
+                    _fix(c, bottleneck_share)
         for i in touched:
             stamp[i] += 1
             if count[i] > 0:
                 heappush(heap, (remaining[i] / count[i], i, stamp[i]))
         touched.clear()
-    return rates
+    return dict(zip(keys, cast("list[float]", rate)))
 
 
 def maxmin_rates_reference(
@@ -304,11 +393,15 @@ class ComponentIndex:
     the rate-unchanged fast path skips rescheduling for dragged-in
     bystanders) but not for cost, so a retirement counter triggers a lazy
     rebuild from the live flow set once stale mass could dominate.
+
+    Each root also keeps a class table, ``(path, rate_cap)`` -> live count,
+    updated in O(1) per flow, so a large component's solve runs over its
+    few distinct classes (:func:`_maxmin_classes`) without regrouping.
     """
 
     __slots__ = (
-        "_parent", "_size", "_flows", "_links", "removals", "nflows",
-        "gen", "_stamp",
+        "_parent", "_size", "_flows", "_links", "_classes", "removals",
+        "nflows", "gen", "_stamp",
     )
 
     #: Rebuild once retirements exceed max(this, live flow count).
@@ -319,6 +412,7 @@ class ComponentIndex:
         self._size: list[int] = []
         self._flows: dict[int, set[Flow]] = {}
         self._links: dict[int, set[Link]] = {}
+        self._classes: dict[int, dict[FlowClass, int]] = {}
         self.removals = 0
         self.nflows = 0
         # Rebalance generation stamps: ``_stamp[root]`` is the global ``gen``
@@ -361,6 +455,17 @@ class ComponentIndex:
         moved_links = self._links.pop(rb, None)
         if moved_links:
             self._links.setdefault(ra, set()).update(moved_links)
+        small = self._classes.pop(rb, None)
+        if small:
+            big = self._classes.get(ra)
+            if big is None:
+                self._classes[ra] = small
+            else:
+                if len(big) < len(small):
+                    big, small = small, big
+                    self._classes[ra] = big
+                for key, n in small.items():
+                    big[key] = big.get(key, 0) + n
         return ra
 
     def add_flow(self, flow: Flow) -> None:
@@ -373,6 +478,11 @@ class ComponentIndex:
         r = self._find(r)
         self._flows.setdefault(r, set()).add(flow)
         self._links.setdefault(r, set()).update(path)
+        table = self._classes.get(r)
+        if table is None:
+            table = self._classes[r] = {}
+        key = (path, flow.rate_cap)
+        table[key] = table.get(key, 0) + 1
         self.nflows += 1
 
     def remove_flow(self, flow: Flow) -> None:
@@ -388,6 +498,15 @@ class ComponentIndex:
         if members is None or flow not in members:
             return
         members.remove(flow)
+        table = self._classes[r]
+        key = (flow.path, flow.rate_cap)
+        n = table[key] - 1
+        if n:
+            table[key] = n
+        else:
+            del table[key]
+            if not table:
+                del self._classes[r]
         if self.nflows > 0:
             self.nflows -= 1
         self.removals += 1
@@ -418,16 +537,21 @@ class ComponentIndex:
         return root >= 0 and self._stamp.get(root, 0) > gen
 
     def component(self, seed: Flow):
-        """The (possibly superset) component containing ``seed``'s links."""
+        """The (possibly superset) component containing ``seed``'s links:
+        its flows, its links and its class table."""
         if not seed.path:
-            return (), ()
+            return (), (), {}
         idx = seed.path[0].index
         if idx is None or idx >= len(self._parent):
             # Seed's links were never registered (zero-byte flow finished
             # before activation indexed them): nothing shares them.
-            return (), ()
+            return (), (), {}
         r = self._find(idx)
-        return self._flows.get(r, ()), self._links.get(r, ())
+        return (
+            self._flows.get(r, ()),
+            self._links.get(r, ()),
+            self._classes.get(r, {}),
+        )
 
     def rebuild(self, live_flows) -> None:
         """Re-derive exact components from the live flow set."""
@@ -435,6 +559,7 @@ class ComponentIndex:
         self._size = [1] * len(self._parent)
         self._flows = {}
         self._links = {}
+        self._classes = {}
         self._stamp.clear()
         self.removals = 0
         self.nflows = 0
@@ -503,7 +628,7 @@ class FairShareNetwork:
             for flow in list(link.flows):
                 if flow in seen or flow.done:
                     continue
-                comp_flows, _ = self._component(flow)
+                comp_flows, _, _ = self._component(flow)
                 seen.update(comp_flows)
                 self._rebalance(flow)
 
@@ -586,8 +711,11 @@ class FairShareNetwork:
         if not self.components.stamped_after(flow, gen):
             self._rebalance(flow)
 
-    def _component(self, seed: Flow) -> tuple[list[Flow], list[Link]]:
-        """Flows/links transitively sharing a link with ``seed``'s path.
+    def _component(
+        self, seed: Flow
+    ) -> tuple[list[Flow], list[Link], Mapping[FlowClass, int]]:
+        """Flows/links transitively sharing a link with ``seed``'s path,
+        plus the component's ``(path, rate_cap)`` class table.
 
         Served by the incrementally maintained union-find (§23): a find
         plus two set lookups, replacing the per-rebalance BFS over
@@ -601,11 +729,14 @@ class FairShareNetwork:
         comp = self.components
         if comp.stale():
             comp.rebuild(f for f in self.active if f.path)
-        comp_flows, comp_links = comp.component(seed)
-        return list(comp_flows), list(comp_links)
+        comp_flows, comp_links, classes = comp.component(seed)
+        return list(comp_flows), list(comp_links), classes
 
     def _maxmin_cached(
-        self, comp_flows: list[Flow], comp_links: list[Link]
+        self,
+        comp_flows: list[Flow],
+        comp_links: list[Link],
+        classes: Mapping[FlowClass, int],
     ) -> list[float]:
         """Shape-cached :func:`maxmin_rates` for small components.
 
@@ -620,9 +751,10 @@ class FairShareNetwork:
         nflows = len(comp_flows)
         if nflows >= _HEAP_THRESHOLD:
             # Large components: key-build cost and entry memory stop paying
-            # for themselves; go straight to the heap variant.
-            rates = maxmin_rates(comp_flows, comp_links)
-            return [rates[f] for f in comp_flows]
+            # for themselves. Solve over the index's class table as kept,
+            # never regrouping the flows, and map rates back by class.
+            by_class = _maxmin_classes(classes, comp_links, comp_flows)
+            return [by_class[(f.path, f.rate_cap)] for f in comp_flows]
         shape: list = []
         for f in comp_flows:
             shape.append(f.rate_cap)
@@ -674,7 +806,7 @@ class FairShareNetwork:
             if self.sanitizer is not None:
                 self.sanitizer.check_rates((seed,), seed.path)
             return
-        comp_flows, comp_links = self._component(seed)
+        comp_flows, comp_links, classes = self._component(seed)
         if not comp_flows:
             return
         # Deterministic ordering for reproducible float arithmetic.
@@ -685,7 +817,7 @@ class FairShareNetwork:
             # view (the lazy-drain fast path below is invisible to it).
             for f in comp_flows:
                 f.drain(now)
-        rates = self._maxmin_cached(comp_flows, comp_links)
+        rates = self._maxmin_cached(comp_flows, comp_links, classes)
         finished: list[Flow] = []
         call_after = self.engine.call_after
         for f, new_rate in zip(comp_flows, rates):

@@ -8,16 +8,25 @@ from hypothesis import strategies as st
 
 from repro.network import FairShareNetwork, Flow, Link
 from repro.network.fairshare import (
-    _maxmin_heap,
+    _maxmin_grouped,
     _maxmin_scan,
     maxmin_rates,
     maxmin_rates_reference,
 )
-
-#: Every production allocator implementation; each must be bit-for-bit the
-#: reference allocation regardless of where the dispatch threshold sits.
-_VARIANTS = [_maxmin_scan, _maxmin_heap]
 from repro.sim import Engine
+
+#: Every production allocator implementation (the class solver through its
+#: flow-level entry); each must be bit-for-bit the reference allocation
+#: regardless of where the dispatch threshold sits.
+_VARIANTS = [_maxmin_scan, _maxmin_grouped]
+
+#: Each variant on unpooled components, then on pooled ones (classes of
+#: many flows, mixed-cap rounds); unpooled cases keep the bare variant id.
+_VARIANTS_POOLED = [
+    pytest.param(v, pooled, id=v.__name__ + ("-pooled" if pooled else ""))
+    for pooled in (False, True)
+    for v in _VARIANTS
+]
 
 
 def build_scenario(link_caps, flow_specs):
@@ -157,39 +166,57 @@ def test_property_optimized_matches_reference(link_caps, data):
     assert maxmin_rates(flows, links) == maxmin_rates_reference(flows, links)
 
 
-def _fuzz_component(rng, nflows, nlinks):
+def _fuzz_component(rng, nflows, nlinks, pooled=False):
+    """A random component. Unpooled, nearly every flow has its own path and
+    cap (classes of one flow). Pooled, paths and caps come from small pools,
+    so classes hold many flows and cap rounds mix several caps: the class
+    solver's ``m``-fold subtraction and fid-order replay both engage."""
     links = [Link(f"l{i}", rng.uniform(1e8, 1e10)) for i in range(nlinks)]
-    flows = []
-    for fid in range(nflows):
+
+    def draw_path():
         # Deliberately include duplicate links in some paths and leave some
         # links unused: both are edge cases the allocator must count right.
-        path = [rng.choice(links) for _ in range(rng.randint(1, 4))]
-        f = Flow(fid, path, 1000, rng.uniform(1e6, 1e10), lambda fl: None)
+        return [rng.choice(links) for _ in range(rng.randint(1, 4))]
+
+    if pooled:
+        paths = [draw_path() for _ in range(rng.randint(2, 6))]
+        # Several low caps that bind together in one cap round, plus one
+        # high cap whose flows keep the shared links live afterwards, so the
+        # order of that round's mixed-cap subtractions is read back.
+        caps = [rng.uniform(1e6, 1e8) for _ in range(rng.randint(2, 4))]
+        caps.append(rng.uniform(1e9, 1e10))
+    flows = []
+    for fid in range(nflows):
+        if pooled:
+            path, cap = rng.choice(paths), rng.choice(caps)
+        else:
+            path, cap = draw_path(), rng.uniform(1e6, 1e10)
+        f = Flow(fid, path, 1000, cap, lambda fl: None)
         flows.append(f)
         for link in set(path):
             link.flows.add(f)
     return flows, links
 
 
-@pytest.mark.parametrize("variant", _VARIANTS)
+@pytest.mark.parametrize("variant,pooled", _VARIANTS_POOLED)
 @pytest.mark.parametrize("nflows,nlinks", [(3, 2), (40, 8), (150, 16)])
-def test_all_variants_match_reference(variant, nflows, nlinks):
+def test_all_variants_match_reference(variant, nflows, nlinks, pooled):
     """Every implementation is exercised directly at every size — the
     dispatch thresholds must never hide a divergence in any path."""
-    rng = random.Random(nflows * 1000 + nlinks)
+    rng = random.Random(nflows * 1000 + nlinks + pooled)
     for _ in range(25):
-        flows, links = _fuzz_component(rng, nflows, nlinks)
+        flows, links = _fuzz_component(rng, nflows, nlinks, pooled)
         assert variant(flows, links) == maxmin_rates_reference(flows, links)
 
 
-@pytest.mark.parametrize("variant", _VARIANTS)
-def test_variants_match_reference_large_component(variant):
+@pytest.mark.parametrize("variant,pooled", _VARIANTS_POOLED)
+def test_variants_match_reference_large_component(variant, pooled):
     """520+ flow components — well past ``_HEAP_THRESHOLD``, where the
-    heap's stale-entry skipping and multi-flow bottleneck rounds engage,
-    and where the scan variant must still agree."""
-    rng = random.Random(99)
+    class solver's stale-entry skipping and multi-class bottleneck rounds
+    engage, and where the scan variant must still agree."""
+    rng = random.Random(99 + pooled)
     for trial in range(3):
-        flows, links = _fuzz_component(rng, 520 + 8 * trial, 24)
+        flows, links = _fuzz_component(rng, 520 + 8 * trial, 24, pooled)
         assert variant(flows, links) == maxmin_rates_reference(flows, links)
 
 

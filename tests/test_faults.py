@@ -41,6 +41,7 @@ from repro.faults import (
     PartitionSpec,
     StallSpec,
 )
+from repro.harness.runner import run_collective
 from repro.machine import small_test_machine
 from repro.mpi import SUM, Communicator, MpiWorld
 from repro.noise import NoiseInjector
@@ -479,6 +480,26 @@ class TestFailStop:
         assert handle.report.failed_ranks == {victim}
         assert handle.excused == {victim}
         assert handle.report.retractions == {victim}
+
+    @pytest.mark.parametrize("victim", range(1, 24))
+    def test_barrier_kill_sweep_drains_clean(self, victim):
+        # Every kill time and detection delay for this victim: after each
+        # re-graft the adopter posts the recv for the orphan's replayed
+        # up-notification and the orphan posts the recv for its exit, even
+        # when either side had already released. The sanitizer raises at
+        # drain on any message left stranded in a matcher.
+        for t_us in (1, 2, 5, 10, 20):
+            for d_us in (1, 10, 100):
+                plan = FaultPlan(
+                    kills=[KillSpec(rank=victim, time=t_us * 1e-6)],
+                    detect_delay=d_us * 1e-6,
+                )
+                res = run_collective(
+                    small_test_machine(), 24, "OMPI-adapt", "barrier",
+                    nbytes=0, iterations=1, fault_plan=plan, sanitize=True,
+                    time_limit=1.0,
+                )
+                assert res.completed, (t_us, d_us)
 
     def test_no_leaked_requests_after_crash(self):
         # sanitize=True would raise at drain if the crash leaked any live

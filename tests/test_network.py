@@ -1,5 +1,8 @@
 """Unit tests for the fair-share network and fabric routing."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.machine import CommLevel, Topology, small_test_machine, psg_gpu
@@ -195,6 +198,45 @@ class TestFairShareNetwork:
         # b: 1.5e5 + 1e5 B by 1 ms, then 7.5e5 B at its 0.3 GB/s cap.
         assert done["a"] == pytest.approx(1e-3 + 5.5e5 / 7e8, rel=1e-9)
         assert done["b"] == pytest.approx(3.5e-3, rel=1e-9)
+
+
+    def test_component_class_tables_track_live_flows(self):
+        """Each component root's class table is the multiset of
+        ``(path, rate_cap)`` over that root's live flows, through seeded
+        submits, finishes, merges and a forced rebuild, and no root keeps
+        an empty table."""
+        rng = random.Random(14)
+        eng = Engine()
+        net = FairShareNetwork(eng)
+        comp = net.components
+        links = [Link(f"l{i}", 1e9) for i in range(12)]
+        paths = [rng.sample(links, rng.randint(1, 3)) for _ in range(10)]
+        caps = [2e8, 5e8, 1e15]
+
+        def check():
+            by_root = {}
+            for f in net.active:
+                by_root.setdefault(comp.root_of(f), []).append(f)
+            assert set(comp._classes) == set(by_root)
+            for root, flows in by_root.items():
+                assert comp._classes[root] == Counter(
+                    (f.path, f.rate_cap) for f in flows
+                )
+            return max((len(t) for t in comp._classes.values()), default=0)
+
+        widest = 0
+        for _ in range(300):
+            net.submit(rng.choice(paths), rng.randint(1, 50_000),
+                       rng.choice(caps), 0.0, lambda f: None)
+            eng.run(until=eng.now + rng.uniform(0.0, 20e-6))
+            widest = max(widest, check())
+        assert widest >= 4  # merges joined several classes under one root
+        assert net.flows_completed > 0 and net.active
+        comp.rebuild(f for f in net.active if f.path)
+        check()
+        eng.run()
+        check()
+        assert not net.active and comp._classes == {}
 
 
 class TestFabricRouting:

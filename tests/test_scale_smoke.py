@@ -7,9 +7,10 @@ drain) actually engages:
 * a 4096-rank ADAPT bcast **completes** and fully drains the engine;
 * the simulation is **deterministic**: two identical runs serialize to
   byte-identical result dicts (the golden-trace property at scale);
-* the shape cache and the scan/heap dispatch are **invisible**: forcing
-  every component, down to single flows, through the heap variant
-  (``_HEAP_THRESHOLD`` patched to 1, which also bypasses the shape cache)
+* the shape cache and the scan/class dispatch are **invisible**: forcing
+  every component, down to single flows, through the heap-driven class
+  solver (``_HEAP_THRESHOLD`` patched to 1, which also bypasses the shape
+  cache and solves over the component index's class tables)
   reproduces the default dispatch's result dict exactly — same floats,
   same event counts.
 """
@@ -48,8 +49,8 @@ def test_4k_bcast_deterministic_and_uncached_heap_bit_identical(monkeypatch):
     again = _run(1 << 16).to_dict()
     assert again == base
 
-    # Route every component — even single-flow ones — through the heap
-    # variant, with the shape cache bypassed as a side effect.
+    # Route every component — even single-flow ones — through the class
+    # solver, with the shape cache bypassed as a side effect.
     monkeypatch.setattr(fairshare, "_HEAP_THRESHOLD", 1)
-    heap = _run(1 << 16).to_dict()
-    assert heap == base
+    forced = _run(1 << 16).to_dict()
+    assert forced == base
