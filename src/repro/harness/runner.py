@@ -161,12 +161,14 @@ def _drive(world: MpiWorld, injectors: list, done, deadline: Optional[float] = N
     horizon = 0.05
     while not done():
         scheduled = sum(inj.arm(horizon) for inj in injectors)
-        before = world.engine.now
-        world.run(until=before + horizon)
+        world.run(until=world.engine.now + horizon)
         if deadline is not None and world.engine.now >= deadline:
             break
-        if world.engine.now == before and scheduled == 0:
-            break  # quiesced: nothing is left that could make progress
+        if scheduled == 0 and world.engine.pending() == 0:
+            # Quiesced: nothing is left that could make progress. (The
+            # clock alone cannot tell: run(until=...) advances it to the
+            # horizon even over an empty queue.)
+            break
         horizon = min(horizon * 2, 5.0)
 
 

@@ -19,6 +19,13 @@ Protocol summary (see :mod:`repro.mpi` docstring):
   handshake is the synchronization through which a noisy receiver delays a
   blocking sender (Section 2.1.1).
 
+Each protocol step is written once. ``_send_start`` is the sender's one
+entry for eager payloads, RTSs and rendezvous data; ``_wire`` launches the
+message. The reliable transport (``RuntimeConfig.reliable``, DESIGN.md S17)
+is a sequence number and an ack timer around that same ``_wire`` call. On
+the receiver, ``_handle_arrival`` takes every kind of message and
+``_admit`` is the one gate: checksum, then NACK, or ack and dedup.
+
 GPU ranks (Section 4) declare a default memory space; transfers route over
 the PCIe/QPI/NIC paths of :class:`~repro.network.fabric.Fabric`, and GPU
 reduction work runs on simulated CUDA streams instead of the host CPU.
@@ -146,24 +153,6 @@ class RankRuntime:
             self.world.sanitizer.on_trace(self.engine.now, self.rank)
         self.world.trace.record(self.engine.now, self.rank, kind, detail)
 
-    def _roll_corrupt(self, dst: int, nbytes: int, tag: int) -> Optional[int]:
-        """Consult the installed fault filter for an in-flight bit flip.
-
-        Rolled at wire launch on the sender's CPU, so the rng consumption
-        order — the determinism contract — depends only on the sender-side
-        schedule. Returns the bit index to flip, or ``None``.
-        """
-        faults = self.world.fabric.faults
-        if faults is None:
-            return None
-        roll = getattr(faults, "corrupt_roll", None)
-        if roll is None:
-            return None
-        return roll(self.rank, dst, nbytes, tag)
-
-    def _integrity_armed(self) -> bool:
-        return self.world.fabric.faults is not None
-
     # -- non-blocking point-to-point -------------------------------------------
 
     def isend(
@@ -192,17 +181,10 @@ class RankRuntime:
         self._trace("isend", f"-> {dst} tag={tag} {nbytes}B {'eager' if eager else 'rndv'}")
         # Posting costs CPU time; the wire action happens when the CPU gets
         # to it (noise on this rank delays its own sends).
-        if eager:
-            start = (
-                self._reliable_eager_start
-                if self.world.config.reliable
-                else self._eager_send_start
-            )
-            self.cpu.execute(self._o, start, req, payload, src_space, to_space)
-        else:
-            self.cpu.execute(
-                self._o, self._rndv_send_rts, req, payload, src_space, to_space
-            )
+        self.cpu.execute(
+            self._o, self._send_start, "eager" if eager else "rts",
+            req, payload, src_space, to_space,
+        )
         return req
 
     def irecv(self, src: int, tag: int, nbytes: int) -> Request:
@@ -219,63 +201,88 @@ class RankRuntime:
         self.cpu.execute(self._o, self._post_recv, req)
         return req
 
-    # -- eager protocol ----------------------------------------------------------
+    # -- sender side: one entry, one wire step -----------------------------------
 
-    def _eager_send_start(
-        self, req: Request, payload: Any, src_space: MemSpace, dst_space: MemSpace
+    def _send_start(
+        self,
+        kind: str,
+        req: Request,
+        payload: Any,
+        src_space: MemSpace,
+        dst_space: MemSpace,
+        recv_req: Optional[Request] = None,
     ) -> None:
-        now = self.engine.now
+        """Sender CPU: put an ``"eager"`` payload, an ``"rts"`` or rendezvous
+        ``"data"`` on the wire, raw or under the reliable transport."""
+        if self.world.config.reliable:
+            self._send_seq += 1
+            state = _ReliableSend(
+                self._send_seq, req, kind, payload, src_space, dst_space, recv_req
+            )
+            self._reliable_pending[state.seq] = state
+            self._transmit(state)
+        else:
+            self._wire(kind, req, payload, src_space, dst_space, recv_req, None)
+        if kind == "eager":
+            # Buffered send: locally complete once the message is on the
+            # wire (delivery is the reliable transport's job, if armed).
+            req._complete(self.engine.now)
+
+    def _wire(
+        self,
+        kind: str,
+        req: Request,
+        payload: Any,
+        src_space: MemSpace,
+        dst_space: MemSpace,
+        recv_req: Optional[Request],
+        seq: Optional[int],
+    ) -> None:
+        """Launch one message; ``seq`` is None on the raw transport."""
         dst_rt = self.world.ranks[req.peer]
-        crc = _payload_crc(payload) if self._integrity_armed() else None
-        bit = self._roll_corrupt(req.peer, req.nbytes, req.tag)
+        if kind == "rts":
+            token = (req, payload, src_space, dst_space)
+
+            def on_rts_arrival() -> None:
+                dst_rt._handle_arrival(InboundMessage(
+                    src=req.rank, tag=req.tag, nbytes=req.nbytes, eager=False,
+                    arrival_time=self.engine.now, rendezvous_token=token, seq=seq,
+                ))
+
+            # Control messages are latency-only (see Fabric.start_control).
+            # Only a counted transmission (seq set) carries taginfo, so a
+            # severed raw RTS is booked as control, not data plane.
+            self.world.fabric.start_control(
+                req.rank, req.peer, self.world.config.control_bytes,
+                on_rts_arrival,
+                taginfo=None if seq is None else ("rts", req.rank, req.peer, req.tag),
+            )
+            return
+        # Integrity (DESIGN.md S20): checksum and corruption roll at wire
+        # launch on the sender's CPU, so the rng consumption order — the
+        # determinism contract — depends only on the sender-side schedule.
+        faults = self.world.fabric.faults
+        crc = bit = None
+        if faults is not None:
+            crc = _payload_crc(payload)
+            bit = faults.corrupt_roll(self.rank, req.peer, req.nbytes, req.tag)
         wire_payload = payload if bit is None else _flip_bit(payload, bit)
 
         def on_wire_complete(flow) -> None:
-            msg = InboundMessage(
-                src=req.rank,
-                tag=req.tag,
-                nbytes=req.nbytes,
-                eager=True,
-                data=wire_payload,
-                arrival_time=self.engine.now,
-                crc=crc,
+            if recv_req is not None and seq is None:
+                # Raw rendezvous data: the sender may reuse its buffer now
+                # (reliable data completes on the ack instead).
+                self.cpu.execute(0.0, self._complete_send, req)
+            dst_rt._handle_arrival(InboundMessage(
+                src=req.rank, tag=req.tag, nbytes=req.nbytes,
+                eager=kind == "eager", data=wire_payload,
+                arrival_time=self.engine.now, seq=seq, crc=crc,
                 corrupt=bit is not None,
-            )
-            dst_rt._handle_arrival(msg)
+            ), recv_req)
 
         self.world.fabric.start_transfer(
             req.rank, req.peer, req.nbytes, on_wire_complete, src_space, dst_space,
-            taginfo=("eager", req.rank, req.peer, req.tag),
-        )
-        # Buffered send: locally complete once the message is on the wire.
-        req._complete(now)
-
-    # -- rendezvous protocol -------------------------------------------------------
-
-    def _rndv_send_rts(
-        self, req: Request, payload: Any, src_space: MemSpace, dst_space: MemSpace
-    ) -> None:
-        if self.world.config.reliable:
-            state = self._new_reliable(req, "rts", payload, src_space, dst_space)
-            self._transmit(state)
-            return
-        dst_rt = self.world.ranks[req.peer]
-        token = (req, payload, src_space, dst_space)
-
-        def on_rts_arrival() -> None:
-            msg = InboundMessage(
-                src=req.rank,
-                tag=req.tag,
-                nbytes=req.nbytes,
-                eager=False,
-                arrival_time=self.engine.now,
-                rendezvous_token=token,
-            )
-            dst_rt._handle_arrival(msg)
-
-        # Control messages are latency-only (see Fabric.start_control).
-        self.world.fabric.start_control(
-            req.rank, req.peer, self.world.config.control_bytes, on_rts_arrival
+            taginfo=(kind, req.rank, req.peer, req.tag),
         )
 
     def _rndv_send_cts(self, msg: InboundMessage, recv_req: Request) -> None:
@@ -286,53 +293,12 @@ class RankRuntime:
         def on_cts_arrival() -> None:
             # Sender CPU processes the CTS, then the data flow starts.
             sender_rt.cpu.execute(
-                sender_rt._o,
-                sender_rt._rndv_send_data,
-                send_req,
-                payload,
-                src_space,
-                dst_space,
-                recv_req,
+                sender_rt._o, sender_rt._send_start, "data", send_req, payload,
+                src_space, dst_space, recv_req,
             )
 
         self.world.fabric.start_control(
             self.rank, msg.src, self.world.config.control_bytes, on_cts_arrival
-        )
-
-    def _rndv_send_data(
-        self,
-        send_req: Request,
-        payload: Any,
-        src_space: MemSpace,
-        dst_space: MemSpace,
-        recv_req: Request,
-    ) -> None:
-        if self.world.config.reliable:
-            state = self._new_reliable(
-                send_req, "data", payload, src_space, dst_space, recv_req
-            )
-            self._transmit(state)
-            return
-        dst_rt = self.world.ranks[send_req.peer]
-        crc = _payload_crc(payload) if self._integrity_armed() else None
-        bit = self._roll_corrupt(send_req.peer, send_req.nbytes, send_req.tag)
-        wire_payload = payload if bit is None else _flip_bit(payload, bit)
-        corrupt = bit is not None
-
-        def on_data_complete(flow) -> None:
-            # Sender may reuse its buffer: complete the send request. The
-            # notification itself is CPU work on the sender.
-            self.cpu.execute(0.0, self._complete_send, send_req)
-            # Receiver CPU processes delivery into the posted buffer.
-            dst_rt.cpu.execute(
-                dst_rt._o, dst_rt._deliver_checked, recv_req, wire_payload,
-                corrupt, crc,
-            )
-
-        self.world.fabric.start_transfer(
-            send_req.rank, send_req.peer, send_req.nbytes, on_data_complete,
-            src_space, dst_space,
-            taginfo=("data", send_req.rank, send_req.peer, send_req.tag),
         )
 
     def _complete_send(self, req: Request) -> None:
@@ -341,38 +307,13 @@ class RankRuntime:
 
     # -- reliable transport (config.reliable) ------------------------------------
     #
-    # At-least-once delivery over a lossy data plane: every eager payload,
-    # RTS, and rendezvous data message carries a per-sender sequence number;
-    # the receiver acks each arrival (including duplicates) over the reliable
-    # control channel and the matcher suppresses redeliveries, so the MPI
-    # layer sees exactly-once semantics. A sender whose retry budget runs dry
-    # presumes the peer dead: it reports the peer to the failure detector and
-    # cancels the request.
-
-    def _reliable_eager_start(
-        self, req: Request, payload: Any, src_space: MemSpace, dst_space: MemSpace
-    ) -> None:
-        state = self._new_reliable(req, "eager", payload, src_space, dst_space)
-        self._transmit(state)
-        # Still a buffered send: local completion, delivery guaranteed by
-        # the transport underneath (or the peer declared failed).
-        req._complete(self.engine.now)
-
-    def _new_reliable(
-        self,
-        req: Request,
-        kind: str,
-        payload: Any,
-        src_space: MemSpace,
-        dst_space: MemSpace,
-        recv_req: Optional[Request] = None,
-    ) -> _ReliableSend:
-        self._send_seq += 1
-        state = _ReliableSend(
-            self._send_seq, req, kind, payload, src_space, dst_space, recv_req
-        )
-        self._reliable_pending[state.seq] = state
-        return state
+    # At-least-once delivery over a lossy data plane: a sequence number and
+    # a retry timer around the one wire step. The receiver acks each arrival
+    # (including duplicates) over the reliable control channel and the
+    # matcher suppresses redeliveries, so the MPI layer sees exactly-once
+    # semantics. A sender whose retry budget runs dry presumes the peer
+    # dead: it reports the peer to the failure detector and cancels the
+    # request.
 
     def _transmit(self, state: _ReliableSend) -> None:
         state.attempt += 1
@@ -384,74 +325,15 @@ class RankRuntime:
                 f"-> {state.req.peer} tag={state.req.tag} seq={state.seq} "
                 f"attempt={state.attempt} ({state.kind})",
             )
-        req = state.req
-        dst_rt = self.world.ranks[req.peer]
-        if state.kind == "rts":
-            token = (req, state.payload, state.src_space, state.dst_space)
-
-            def on_rts_arrival() -> None:
-                msg = InboundMessage(
-                    src=req.rank, tag=req.tag, nbytes=req.nbytes, eager=False,
-                    arrival_time=self.engine.now, rendezvous_token=token,
-                    seq=state.seq,
-                )
-                dst_rt._handle_arrival(msg)
-
-            # RTS rides the reliable control channel; the ack/retry loop here
-            # detects a dead receiver, not message loss. The taginfo marks it
-            # as a counted transmission for severed-message accounting.
-            self.world.fabric.start_control(
-                req.rank, req.peer, self.world.config.control_bytes,
-                on_rts_arrival, taginfo=("rts", req.rank, req.peer, req.tag),
-            )
-            wire_bytes = self.world.config.control_bytes
-        elif state.kind == "eager":
-            crc = _payload_crc(state.payload) if self._integrity_armed() else None
-            bit = self._roll_corrupt(req.peer, req.nbytes, req.tag)
-            wire_payload = (
-                state.payload if bit is None else _flip_bit(state.payload, bit)
-            )
-            corrupt = bit is not None
-
-            def on_eager_wire(flow) -> None:
-                msg = InboundMessage(
-                    src=req.rank, tag=req.tag, nbytes=req.nbytes, eager=True,
-                    data=wire_payload, arrival_time=self.engine.now,
-                    seq=state.seq, crc=crc, corrupt=corrupt,
-                )
-                dst_rt._handle_arrival(msg)
-
-            self.world.fabric.start_transfer(
-                req.rank, req.peer, req.nbytes, on_eager_wire,
-                state.src_space, state.dst_space,
-                taginfo=("eager", req.rank, req.peer, req.tag),
-            )
-            wire_bytes = req.nbytes
-        else:  # "data"
-            crc = _payload_crc(state.payload) if self._integrity_armed() else None
-            bit = self._roll_corrupt(req.peer, req.nbytes, req.tag)
-            wire_payload = (
-                state.payload if bit is None else _flip_bit(state.payload, bit)
-            )
-            corrupt = bit is not None
-
-            def on_data_wire(flow) -> None:
-                dst_rt._rndv_data_wire(
-                    req.rank, state.seq, state.recv_req, wire_payload,
-                    corrupt, crc,
-                )
-
-            self.world.fabric.start_transfer(
-                req.rank, req.peer, req.nbytes, on_data_wire,
-                state.src_space, state.dst_space,
-                taginfo=("data", req.rank, req.peer, req.tag),
-            )
-            wire_bytes = req.nbytes
+        self._wire(
+            state.kind, state.req, state.payload, state.src_space,
+            state.dst_space, state.recv_req, state.seq,
+        )
         state.timer = self.engine.call_after(
-            self._retry_delay(state, wire_bytes), self._on_ack_timeout, state
+            self._retry_delay(state), self._on_ack_timeout, state
         )
 
-    def _retry_delay(self, state: _ReliableSend, wire_bytes: int) -> float:
+    def _retry_delay(self, state: _ReliableSend) -> float:
         """Retransmission timeout: RTO plus headroom for the transfer itself.
 
         The 4x uncontended-transfer-time term keeps large segments on a
@@ -462,6 +344,7 @@ class RankRuntime:
         backing off forever.
         """
         cfg = self.world.config
+        wire_bytes = cfg.control_bytes if state.kind == "rts" else state.req.nbytes
         route = self.world.fabric.route(
             self.rank, state.req.peer, state.src_space, state.dst_space
         )
@@ -548,108 +431,49 @@ class RankRuntime:
             state.parked = False
             self._transmit(state)
 
-    def _send_ack(self, dst: int, seq: int) -> None:
-        """Receiver side: confirm delivery of ``seq`` back to the sender."""
-        self.acks_sent += 1
+    def _send_ack(self, dst: int, seq: int, nack: bool = False) -> None:
+        """Receiver side: confirm delivery of ``seq`` back to the sender, or
+        (``nack``) report a failed checksum. A NACK asks for an immediate
+        retransmit instead of waiting out the sender's retry timer —
+        corruption is detected, not silent, so the round trip is its only
+        cost."""
+        if nack:
+            self.nacks_sent += 1
+        else:
+            self.acks_sent += 1
         sender_rt = self.world.ranks[dst]
         self.world.fabric.start_control(
             self.rank, dst, self.world.config.control_bytes,
-            lambda: sender_rt._on_ack_wire(seq),
+            lambda: sender_rt._on_ack_wire(seq, nack),
         )
 
-    def _send_nack(self, dst: int, seq: int) -> None:
-        """Receiver side: the payload arrived but failed its checksum.
-
-        The NACK asks for an immediate retransmit instead of waiting out the
-        sender's retry timer — corruption is detected, not silent, so the
-        round trip is the only cost.
-        """
-        self.nacks_sent += 1
-        sender_rt = self.world.ranks[dst]
-        self.world.fabric.start_control(
-            self.rank, dst, self.world.config.control_bytes,
-            lambda: sender_rt._on_nack_wire(seq),
-        )
-
-    def _on_nack_wire(self, seq: int) -> None:
+    def _on_ack_wire(self, seq: int, nack: bool) -> None:
         if not self.alive:
             return
-        self.cpu.execute(self._o, self._process_nack, seq)
+        self.cpu.execute(self._o, self._process_ack, seq, nack)
 
-    def _process_nack(self, seq: int) -> None:
-        state = self._reliable_pending.get(seq)
+    def _process_ack(self, seq: int, nack: bool) -> None:
+        pending = self._reliable_pending
+        state = pending.get(seq) if nack else pending.pop(seq, None)
         if state is None:
-            return  # already acked (stale nack) or abandoned
+            return  # stale or duplicate (n)ack, or the send was abandoned
         if state.timer is not None:
             state.timer.cancel()
             state.timer = None
-        self._transmit(state)
-
-    def _on_ack_wire(self, seq: int) -> None:
-        if not self.alive:
+        if nack:
+            self._transmit(state)
             return
-        self.cpu.execute(self._o, self._process_ack, seq)
-
-    def _process_ack(self, seq: int) -> None:
-        state = self._reliable_pending.pop(seq, None)
-        if state is None:
-            return  # duplicate ack, or the send was already abandoned
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
         detector = self.world.failure_detector
         if detector is not None:
-            # An ack is liveness evidence: it retracts a standing suspicion
-            # of the peer (the ISSUE's "a suspected rank that acks again").
+            # An ack is liveness evidence: a suspected peer that acks again
+            # has its standing suspicion retracted.
             detector.observe_alive(state.req.peer)
         if state.kind == "data":
             # Rendezvous data: the sender's buffer is free only once the
             # receiver confirmed delivery.
             self._complete_send(state.req)
 
-    def _rndv_data_wire(
-        self,
-        src: int,
-        seq: int,
-        recv_req: Request,
-        payload: Any,
-        corrupt: bool = False,
-        crc: Optional[int] = None,
-    ) -> None:
-        """Reliable rendezvous data reached this rank (wire event)."""
-        if not self.alive:
-            self.msgs_lost_dead += 1
-            return
-        self.cpu.execute(
-            self._o, self._rndv_data_arrived, src, seq, recv_req, payload,
-            corrupt, crc,
-        )
-
-    def _rndv_data_arrived(
-        self,
-        src: int,
-        seq: int,
-        recv_req: Request,
-        payload: Any,
-        corrupt: bool = False,
-        crc: Optional[int] = None,
-    ) -> None:
-        if self._checksum_failed(payload, corrupt, crc, src, recv_req.tag):
-            # No ack, no register_seq: the sequence number stays undelivered
-            # so the intact retransmit (NACK-triggered) is still fresh.
-            self._send_nack(src, seq)
-            return
-        detector = self.world.failure_detector
-        if detector is not None:
-            detector.observe_alive(src)
-        fresh = self.matcher.register_seq(src, seq)
-        self._send_ack(src, seq)
-        if not fresh:
-            self._trace("dup-suppressed", f"<- {src} data seq={seq}")
-            return
-        self._deliver(recv_req, payload)
-
-    # -- receiver-side handlers -------------------------------------------------------
+    # -- receiver side: one arrival handler, one gate ----------------------------
 
     def _post_recv(self, req: Request) -> None:
         if req.completed:
@@ -665,39 +489,25 @@ class RankRuntime:
         else:
             self._rndv_send_cts(msg, req)
 
-    def _handle_arrival(self, msg: InboundMessage) -> None:
-        """An eager payload or RTS reached this rank (wire event)."""
+    def _handle_arrival(
+        self, msg: InboundMessage, recv_req: Optional[Request] = None
+    ) -> None:
+        """A message reached this rank (wire event): an eager payload, an
+        RTS, or rendezvous data bound for its matched ``recv_req``."""
         if not self.alive:
+            # The raw transport counts nothing here: a halted CPU would
+            # have dropped the work anyway.
             if msg.seq is not None:
                 self.msgs_lost_dead += 1
             return
-        self.cpu.execute(self._o, self._match_arrival, msg)
+        self.cpu.execute(self._o, self._match_arrival, msg, recv_req)
 
-    def _match_arrival(self, msg: InboundMessage) -> None:
-        if msg.eager and self._checksum_failed(
-            msg.data, msg.corrupt, msg.crc, msg.src, msg.tag
-        ):
-            # Verified before matching so a corrupt payload never enters the
-            # unexpected queue. Reliable: NACK for an immediate retransmit
-            # (the seq was never registered, so the clean copy is fresh).
-            # Raw transport: integrity failure degenerates to a drop.
-            if msg.seq is not None:
-                self._send_nack(msg.src, msg.seq)
+    def _match_arrival(self, msg: InboundMessage, recv_req: Optional[Request]) -> None:
+        if not self._admit(msg):
             return
-        if msg.seq is not None:
-            # Reliable transport: ack every arrival (the sender's copy of a
-            # duplicated or retransmitted message still needs silencing),
-            # deliver each sequence number at most once.
-            detector = self.world.failure_detector
-            if detector is not None:
-                detector.observe_alive(msg.src)
-            fresh = self.matcher.register_seq(msg.src, msg.seq)
-            self._send_ack(msg.src, msg.seq)
-            if not fresh:
-                self._trace(
-                    "dup-suppressed", f"<- {msg.src} tag={msg.tag} seq={msg.seq}"
-                )
-                return
+        if recv_req is not None:
+            self._deliver(recv_req, msg.data)
+            return
         req = self.matcher.arrive(msg)
         if req is None:
             if msg.eager:
@@ -708,28 +518,39 @@ class RankRuntime:
         else:
             self._rndv_send_cts(msg, req)
 
-    def _checksum_failed(
-        self, payload: Any, corrupt: bool, crc: Optional[int],
-        src: int, tag: int,
-    ) -> bool:
-        """Verify one arrival's end-to-end integrity; count+trace a failure."""
-        bad = corrupt or (
-            crc is not None
-            and payload is not None
-            and _payload_crc(payload) != crc
-        )
-        if bad:
-            self.checksum_rejects += 1
-            self._trace("crc-reject", f"<- {src} tag={tag}")
-        return bad
+    def _admit(self, msg: InboundMessage) -> bool:
+        """The receiver gate: end-to-end integrity, then (reliable transport)
+        ack and dedup. True when ``msg`` should be delivered or matched.
 
-    def _deliver_checked(
-        self, req: Request, payload: Any, corrupt: bool, crc: Optional[int]
-    ) -> None:
-        """Raw-transport rendezvous delivery with integrity verification."""
-        if self._checksum_failed(payload, corrupt, crc, req.peer, req.tag):
-            return  # unreliable path: a failed checksum is a drop
-        self._deliver(req, payload)
+        Verified before matching so a corrupt payload never enters the
+        unexpected queue. Reliable: NACK for an immediate retransmit (the
+        seq was never registered, so the clean copy is fresh). Raw: a
+        failed checksum is a drop.
+        """
+        src, seq = msg.src, msg.seq
+        if msg.corrupt or (
+            msg.crc is not None
+            and msg.data is not None
+            and _payload_crc(msg.data) != msg.crc
+        ):
+            self.checksum_rejects += 1
+            self._trace("crc-reject", f"<- {src} tag={msg.tag}")
+            if seq is not None:
+                self._send_ack(src, seq, nack=True)
+            return False
+        if seq is None:
+            return True
+        # Ack every arrival (the sender's copy of a duplicated or
+        # retransmitted message still needs silencing); deliver each
+        # sequence number at most once.
+        detector = self.world.failure_detector
+        if detector is not None:
+            detector.observe_alive(src)
+        fresh = self.matcher.register_seq(src, seq)
+        self._send_ack(src, seq)
+        if not fresh:
+            self._trace("dup-suppressed", f"<- {src} tag={msg.tag} seq={seq}")
+        return fresh
 
     def _deliver(self, req: Request, payload: Any) -> None:
         if req.completed:

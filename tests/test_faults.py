@@ -41,7 +41,7 @@ from repro.faults import (
     PartitionSpec,
     StallSpec,
 )
-from repro.harness.runner import run_collective
+from repro.harness.runner import _drive, run_collective
 from repro.machine import small_test_machine
 from repro.mpi import SUM, Communicator, MpiWorld
 from repro.noise import NoiseInjector
@@ -193,6 +193,27 @@ class TestDeterminism:
 
 
 # -- lossy fabric + reliable transport ----------------------------------------
+
+
+class TestDriveQuiescence:
+    def test_stuck_lossy_run_without_deadline_returns(self):
+        # A receive that no one will ever match, on a lossy reliable world
+        # driven with no deadline: the driver must notice the drained queue
+        # and return instead of re-running empty horizons forever.
+        world = make_world(nranks=4, reliable=True, sanitize=False)
+        injector = FaultInjector(world, FaultPlan(losses=[LossSpec(drop=0.01)]))
+        req = world.ranks[1].irecv(src=0, tag=0, nbytes=64)
+        run, calls = world.run, []
+
+        def bounded_run(until=None):
+            calls.append(until)
+            assert len(calls) <= 50, "driver spins on a quiesced world"
+            return run(until=until)
+
+        world.run = bounded_run
+        _drive(world, [injector], lambda: req.completed)
+        assert not req.completed
+        assert world.engine.pending() == 0
 
 
 class TestLossyFabric:

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
+from repro.faults import FaultPlan, KillSpec, LossSpec, PartitionSpec
+from repro.faults.plan import CorruptSpec
+from repro.harness.runner import run_collective
 from repro.machine import small_test_machine
 from repro.mpi import Compute, MpiWorld, ProcletDriver, Sleep, WaitAll, WaitAny
 
@@ -275,3 +278,82 @@ class TestRuntimeValidation:
         w2.ranks[0].reduce_local(nbytes, on_gpu=False)
         w2.run()
         assert gpu_cpu_busy < w2.ranks[0].cpu.busy_time / 100
+
+
+# -- transport fingerprint ------------------------------------------------------
+#
+# One collective run per (library, operation, size, fault condition) cell on a
+# 16-rank testbox, pinned to recorded values so that any change to protocol
+# timing or transport accounting, raw or reliable, shows. ``mean`` is
+# compared as its repr (bit-identity); ``transport`` lists the non-zero
+# counters only.
+# The clock at the end of an incomplete run (``engine_stats["now"]``) is not
+# pinned: it depends on when the harness notices quiescence.
+
+_HALVES = [list(range(8)), list(range(8, 16))]
+_FP_CONDITIONS = {
+    "lossdup": (dict(losses=[LossSpec(drop=0.05, duplicate=0.05)]), None),
+    "corrupt": (dict(corrupts=[CorruptSpec(rate=0.1)]), None),
+    "kill": (dict(kills=[KillSpec(rank=5, time=2e-5)]), None),
+    "partition": (dict(partitions=[PartitionSpec(_HALVES, 1e-5, 2e-3)]), None),
+    "raw-corrupt": (dict(corrupts=[CorruptSpec(rate=0.1)]), False),
+    "raw-partition": (dict(partitions=[PartitionSpec(_HALVES, 1e-5, 2e-3)]), False),
+    "reliable-clean": ({}, True),
+}
+_FP_CELLS = [
+    # Raw-transport corruption: a checksum reject is a drop, never a NACK.
+    ("OMPI-adapt", "bcast", 262144, "raw-corrupt",
+     "inf", False, 586, dict(checksum_rejects=6)),
+    ("OMPI-adapt", "bcast", 4096, "raw-corrupt",
+     "inf", False, 196, dict(checksum_rejects=2)),
+    ("OMPI-default", "allreduce", 262144, "raw-corrupt",
+     "inf", False, 352, dict(checksum_rejects=3)),
+    ("OMPI-adapt", "bcast", 262144, "corrupt",
+     "6.69556e-05", True, 972,
+     dict(acks_sent=120, checksum_rejects=8, fresh_deliveries=120, nacks_sent=8,
+          retransmits=8, transmissions=128)),
+    ("OMPI-adapt", "bcast", 4096, "corrupt",
+     "7.972266666666665e-06", True, 322,
+     dict(acks_sent=30, checksum_rejects=4, fresh_deliveries=30, nacks_sent=4,
+          retransmits=4, transmissions=34)),
+    ("OMPI-adapt", "allreduce", 4096, "lossdup",
+     "0.002027865066666668", True, 680,
+     dict(acks_sent=68, dropped=2, duplicated=8, duplicates_suppressed=8,
+          fresh_deliveries=60, retransmits=2, transmissions=62)),
+    ("OMPI-adapt", "reduce", 262144, "lossdup",
+     "0.0012247458666666642", True, 1038,
+     dict(acks_sent=128, dropped=2, duplicated=8, duplicates_suppressed=8,
+          fresh_deliveries=120, retransmits=2, transmissions=122)),
+    ("OMPI-default", "reduce", 262144, "partition",
+     "0.0013274634666666507", True, 6077,
+     dict(acks_sent=480, fresh_deliveries=480, retransmits=1, severed=1,
+          severed_control=16, transmissions=481)),
+    # A severed raw RTS is booked as control, not as a data-plane message.
+    ("OMPI-default", "reduce", 262144, "raw-partition",
+     "inf", False, 36754, dict(severed_control=17)),
+    ("OMPI-adapt", "allreduce", 262144, "kill", "inf", False, 1485, {}),
+    ("OMPI-default", "bcast", 262144, "reliable-clean",
+     "0.00011037173333333368", True, 3632,
+     dict(acks_sent=480, fresh_deliveries=480, transmissions=480)),
+]
+
+
+@pytest.mark.parametrize(
+    "library,operation,nbytes,condition,mean,completed,events,transport",
+    _FP_CELLS,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in _FP_CELLS],
+)
+def test_transport_fingerprint(
+    library, operation, nbytes, condition, mean, completed, events, transport
+):
+    specs, reliable = _FP_CONDITIONS[condition]
+    result = run_collective(
+        small_test_machine(nodes=2), 16, library, operation, nbytes,
+        iterations=2, seed=3, fault_plan=FaultPlan(seed=7, **specs),
+        runtime_config=None if reliable is None else RuntimeConfig(reliable=reliable),
+        time_limit=0.5,
+    )
+    assert repr(result.mean_time) == mean
+    assert result.completed is completed
+    assert result.engine_stats["events_processed"] == events
+    assert {k: v for k, v in result.transport.items() if v} == transport
